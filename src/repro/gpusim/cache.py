@@ -7,7 +7,9 @@ Two models are provided:
   footprint function (Denning working-set theory: an access whose reuse
   window touches a footprint larger than the cache is a miss).  This is
   the model used by kernel cost models; it is what makes Graph Clustering
-  based Reordering show up as fewer DRAM transactions.
+  based Reordering show up as fewer DRAM transactions.  Its per-stream
+  work is a capacity-independent :class:`ReuseProfile`, so one stream
+  priced at many (K, device) capacities is analysed once.
 
 * :class:`LRUCache` — an exact set-associative LRU simulator used by the
   test-suite to validate the analytic estimator on small streams.
@@ -25,19 +27,45 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _stable_order(stream: np.ndarray) -> np.ndarray:
+    """``np.argsort(stream, kind="stable")``, in linear time for integer ids.
+
+    Integer ids are offset to start at 0 and sorted by 16-bit digits,
+    least significant first (an LSD radix sort).  NumPy's stable sort of
+    a 16-bit array is itself a radix sort, so each pass is O(n), and
+    because every pass is stable the result is the same permutation the
+    comparison sort returns.  Other dtypes use that sort directly.
+    """
+    if stream.dtype.kind not in "iu":
+        return np.argsort(stream, kind="stable")
+    lo = int(stream.min())
+    span = int(stream.max()) - lo
+    # Offsets from the minimum, exact in wrapping uint64 arithmetic
+    # because each lies in [0, 2**64).
+    keys = stream.astype(np.uint64) - np.uint64(lo % 2**64)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while span >> shift:
+        digit = (keys >> np.uint64(shift)).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
+
+
 def previous_positions(stream: np.ndarray) -> np.ndarray:
     """Position of the previous access to the same item, or ``-1``.
 
-    Vectorized: O(n log n) via a stable sort on item id.  This array is
-    the shared substrate of both :func:`reuse_times` (``i - prev[i]``)
-    and :func:`sampled_footprint` (an access is the first of its item
-    within window ``[s, s+w)`` iff ``prev[i] < s``).
+    Vectorized: one stable sort on item id (:func:`_stable_order`, linear
+    for integer ids).  This array is the shared substrate of both
+    :func:`reuse_times` (``i - prev[i]``) and :func:`sampled_footprint`
+    (an access is the first of its item within window ``[s, s+w)`` iff
+    ``prev[i] < s``).
     """
     stream = np.asarray(stream)
     n = stream.size
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(stream, kind="stable")
+    order = _stable_order(stream)
     sorted_items = stream[order]
     pos = order.astype(np.int64)
     out = np.full(n, -1, dtype=np.int64)
@@ -124,6 +152,98 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
+class ReuseProfile:
+    """The capacity-independent part of one stream's L2 hit count.
+
+    :class:`FootprintCacheModel` counts an access as a hit when it reuses
+    an item within the largest sampled window whose footprint fits in the
+    capacity, or on any reuse when the capacity holds every distinct
+    item.  The stream therefore enters a query only through its access
+    and distinct counts, the number of reuses whose reuse time is at most
+    each window size, and the sampled footprint curve of each (seed,
+    samples per size).  None of these depend on the capacity, so one
+    profile answers every (bytes per item, cache size) query of its
+    stream by a threshold lookup.
+
+    Parts are built on first need from the stream passed to :meth:`hits`,
+    which must be the stream the profile describes: the counts on the
+    first query (one sort), the reuse counts and a footprint curve only
+    when a capacity below the distinct count first asks for them.  A
+    profile holds O(window sizes) numbers, never an O(n) array.  Each
+    part is assigned whole once it is complete, so a query on a profile
+    shared between threads finds a part absent or complete; two threads
+    that build the same part build equal values.
+    """
+
+    #: Log-spaced window sizes used for footprint sampling.
+    NUM_WINDOW_SIZES = 24
+
+    def __init__(self) -> None:
+        #: (accesses, distinct items), or None until the first query.
+        self._counts: tuple[int, int] | None = None
+        #: (window sizes, reuses with reuse time <= each size), or None.
+        self._reuses: tuple[np.ndarray, np.ndarray] | None = None
+        #: (seed, samples per size) -> monotone footprint per window size.
+        self._footprints: dict[tuple[int, int], np.ndarray] = {}
+
+    def hits(
+        self,
+        stream: np.ndarray,
+        capacity_items: float,
+        *,
+        seed: int = 0,
+        samples_per_size: int = 48,
+    ) -> int:
+        """Estimated hits of ``stream`` in a cache of ``capacity_items``."""
+        prev = None
+        counts = self._counts
+        if counts is None:
+            prev = previous_positions(stream)
+            # Distinct items == first-ever accesses (prev < 0).
+            counts = (prev.size, int(np.count_nonzero(prev < 0)))
+            self._counts = counts
+        accesses, distinct = counts
+        if capacity_items >= distinct:
+            # Everything fits: every non-cold access hits.
+            return accesses - distinct
+        reuses = self._reuses
+        curve = self._footprints.get((seed, samples_per_size))
+        if reuses is None or curve is None:
+            if prev is None:
+                prev = previous_positions(stream)
+            if reuses is None:
+                reuses = _reuses_within_windows(prev, self.NUM_WINDOW_SIZES)
+                self._reuses = reuses
+            if curve is None:
+                curve = sampled_footprint(
+                    stream,
+                    reuses[0],
+                    samples_per_size=samples_per_size,
+                    seed=seed,
+                    prev=prev,
+                )
+                self._footprints[(seed, samples_per_size)] = curve
+        # Reuses within the largest window whose footprint still fits.
+        fits = np.nonzero(curve <= capacity_items)[0]
+        return int(reuses[1][fits[-1]]) if fits.size else 0
+
+
+def _reuses_within_windows(
+    prev: np.ndarray, num_sizes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-spaced window sizes over ``[1, n]`` and, for each, the number
+    of reuses whose reuse time ``i - prev[i]`` is at most that size."""
+    n = prev.size
+    sizes = np.unique(np.geomspace(1, n, num=num_sizes).astype(np.int64))
+    reused = prev >= 0
+    t = np.arange(n, dtype=np.int64)[reused] - prev[reused]
+    # A reuse lies within every window from the first one at least as
+    # long as its reuse time.
+    first = np.searchsorted(sizes, t)
+    within = np.cumsum(np.bincount(first, minlength=sizes.size + 1))
+    return sizes, within[: sizes.size]
+
+
 class FootprintCacheModel:
     """Analytic LRU hit-rate estimator for a single access stream.
 
@@ -131,11 +251,10 @@ class FootprintCacheModel:
     ``t``-access window fits in the effective capacity.  The effective
     capacity is the cache size divided by ``concurrency``, modelling the
     interleaving of many concurrent warps' streams (each warp sees only a
-    fraction of the cache).
+    fraction of the cache).  The stream-dependent work lives in a
+    :class:`ReuseProfile`, which callers may keep to answer later queries
+    of the same stream at other capacities.
     """
-
-    #: Log-spaced window sizes used for footprint sampling.
-    NUM_WINDOW_SIZES = 24
 
     def __init__(
         self,
@@ -163,42 +282,30 @@ class FootprintCacheModel:
         """Items that fit in the effective (concurrency-shared) capacity."""
         return self.capacity_bytes / self.concurrency / self.bytes_per_item
 
-    def run(self, stream: np.ndarray) -> CacheStats:
-        """Estimate hits for ``stream`` (array of item ids, access order)."""
-        stream = np.asarray(stream)
-        n = stream.size
-        if n == 0:
-            return CacheStats(accesses=0, hits=0)
-        prev = previous_positions(stream)
-        t = np.where(prev >= 0, np.arange(n, dtype=np.int64) - prev, -1)
-        cap = self.capacity_items
-        # Distinct items == first-ever accesses (prev < 0).
-        if cap >= int(np.count_nonzero(prev < 0)):
-            # Everything fits: every non-cold access hits.
-            hits = int(np.count_nonzero(t >= 0))
-            return CacheStats(accesses=n, hits=hits)
-        sizes = np.unique(
-            np.geomspace(1, n, num=self.NUM_WINDOW_SIZES).astype(np.int64)
-        )
-        fp = sampled_footprint(
-            stream,
-            sizes,
-            samples_per_size=self.samples_per_size,
-            seed=self.seed,
-            prev=prev,
-        )
-        # Largest reuse time whose footprint still fits in the cache.
-        fits = fp <= cap
-        if not fits.any():
-            threshold = 0
-        else:
-            threshold = int(sizes[np.nonzero(fits)[0][-1]])
-        hits = int(np.count_nonzero((t >= 0) & (t <= threshold)))
-        return CacheStats(accesses=n, hits=hits)
+    def run(
+        self, stream: np.ndarray, profile: ReuseProfile | None = None
+    ) -> CacheStats:
+        """Estimate hits for ``stream`` (array of item ids, access order).
 
-    def hit_rate(self, stream: np.ndarray) -> float:
+        ``profile`` is a :class:`ReuseProfile` of this same stream, queried
+        and extended in place; a fresh one is used when omitted.
+        """
+        stream = np.asarray(stream)
+        if profile is None:
+            profile = ReuseProfile()
+        hits = profile.hits(
+            stream,
+            self.capacity_items,
+            seed=self.seed,
+            samples_per_size=self.samples_per_size,
+        )
+        return CacheStats(accesses=stream.size, hits=hits)
+
+    def hit_rate(
+        self, stream: np.ndarray, profile: ReuseProfile | None = None
+    ) -> float:
         """Convenience wrapper returning just the hit fraction."""
-        return self.run(stream).hit_rate
+        return self.run(stream, profile).hit_rate
 
 
 class LRUCache:

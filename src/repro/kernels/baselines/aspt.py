@@ -22,7 +22,7 @@ from ...gpusim import (
 )
 from ...formats import HybridMatrix
 from ..api import SpMMKernel, register_spmm
-from ..common import estimate_hit_rate, split_by_hit_rate
+from ..common import matrix_hit_rate, split_by_hit_rate
 from ..preproc import DEFAULT_HOST, HostCostParams, aspt_preprocess_s
 
 
@@ -91,10 +91,7 @@ class ASpTSpMM(SpMMKernel):
         reuse = max(float(self.threshold), 1.0)
         dense_part_sectors = dense_nnz * row_sectors / reuse
         sparse_part_sectors = sparse_nnz * row_sectors
-        hit = estimate_hit_rate(
-            S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps,
-        )
+        hit = matrix_hit_rate(S, "col", k * 4.0, device)
         l2_a, dram_a = split_by_hit_rate(
             dense_part_sectors + sparse_part_sectors, hit
         )

@@ -23,7 +23,7 @@ from ..api import (
     SDDMMKernel,
     register_sddmm,
 )
-from ..common import estimate_hit_rate, per_warp_nnz, split_by_hit_rate
+from ..common import matrix_hit_rate, per_warp_nnz, split_by_hit_rate
 
 
 @register_sddmm
@@ -45,7 +45,6 @@ class DGLSDDMM(SDDMMKernel):
         nnz = S.nnz
         npw = 32
         slice_nnz = per_warp_nnz(nnz, npw).astype(np.float64)
-        num_warps = slice_nnz.size
         sector = device.l2_sector_bytes
         feats = float(k)
         row_sectors = feats * 4 / sector
@@ -62,14 +61,8 @@ class DGLSDDMM(SDDMMKernel):
         sparse_sectors = slice_nnz * (12.0 / sector)
         # Both operand gathers go through the cache model: A2 via the
         # column stream, A1 via the row stream (re-read per edge!).
-        hit_col = estimate_hit_rate(
-            S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps, seed=1,
-        )
-        hit_row = estimate_hit_rate(
-            S.row, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps, seed=2,
-        )
+        hit_col = matrix_hit_rate(S, "col", k * 4.0, device, seed=1)
+        hit_row = matrix_hit_rate(S, "row", k * 4.0, device, seed=2)
         # No A1 register reuse and no vectorization: the operand gathers
         # carry a mild redundancy factor versus HP-SDDMM's tiled loads.
         traffic = 1.15

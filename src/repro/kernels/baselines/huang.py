@@ -16,6 +16,7 @@ import numpy as np
 from ...gpusim import CostParams, DeviceSpec, simulate_launch
 from ...formats import HybridMatrix, HybridMatrix as _Hybrid
 from ..api import SpMMKernel, register_spmm
+from ..common import matrix_hit_rate
 from ..preproc import DEFAULT_HOST, HostCostParams, huang_preprocess_s
 from .node_parallel import NodeParallelProfile, build_node_parallel_workload
 
@@ -82,8 +83,12 @@ class HuangNGSpMM(SpMMKernel):
         # distribution: one warp per tile, every tile bounded by `tile`.
         tile_nnz = neighbor_group_degrees(S.row_degrees(), self.tile)
         tiled = _tiled_view(S, tile_nnz)
+        # The tiled view shares S's column stream; pricing it through S
+        # keys the reuse profile by S's fingerprint instead of hashing a
+        # fresh matrix on every estimate.
         work, config = build_node_parallel_workload(
-            tiled, k, self.profile, device
+            tiled, k, self.profile, device,
+            hit_rate=matrix_hit_rate(S, "col", k * 4.0, device),
         )
         stats = simulate_launch(device, work, config, cost)
         return stats, huang_preprocess_s(S, self.host)

@@ -22,7 +22,7 @@ from ...gpusim import (
 from ...formats import HybridMatrix
 from ..api import SpMMKernel, register_spmm
 from ..common import (
-    estimate_hit_rate,
+    matrix_hit_rate,
     per_warp_nnz,
     row_segments_per_slice,
     split_by_hit_rate,
@@ -79,10 +79,7 @@ class MergePathSpMM(SpMMKernel):
 
         sparse_sectors = slice_nnz * (8.0 / sector) * 2.0  # coalesced col+val
         dense_sectors = slice_nnz * dense_sectors_per_nnz
-        hit = estimate_hit_rate(
-            S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=starts.size,
-        )
+        hit = matrix_hit_rate(S, "col", k * 4.0, device)
         dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
         write_sectors = segments * (feats * 4 / sector)
         atomics = segments * np.ceil(feats / 32.0)

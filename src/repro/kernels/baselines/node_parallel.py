@@ -18,7 +18,7 @@ import numpy as np
 
 from ...formats import HybridMatrix
 from ...gpusim import DeviceSpec, LaunchConfig, WarpWorkload
-from ..common import estimate_hit_rate, split_by_hit_rate
+from ..common import matrix_hit_rate, split_by_hit_rate
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,7 @@ def build_node_parallel_workload(
     sparse_l2 = sparse_sectors * (groups - 1) / groups
 
     if hit_rate is None:
-        hit_rate = estimate_hit_rate(
-            S.col,
-            bytes_per_item=k * 4.0,
-            device=device,
-            concurrent_warps=m * groups,
-        )
+        hit_rate = matrix_hit_rate(S, "col", k * 4.0, device)
     dense_sectors = degrees * dense_sectors_per_nnz
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit_rate)
 

@@ -7,10 +7,13 @@ switches) that :func:`repro.gpusim.simulate_launch` consumes.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..formats import HybridMatrix
-from ..gpusim import DeviceSpec, FootprintCacheModel
+from ..gpusim import DeviceSpec, FootprintCacheModel, ReuseProfile
+from ..perf.fingerprint import matrix_fingerprint
 
 
 def warp_slice_starts(nnz: int, nnz_per_warp: int) -> np.ndarray:
@@ -75,19 +78,43 @@ def row_segments_per_slice(row: np.ndarray, starts: np.ndarray, nnz_per_warp: in
 #: polluted by the streaming sparse arrays and the output write traffic.
 L2_EFFECTIVE_FRACTION = 0.5
 
-#: Memo for hit-rate estimates: the footprint sampling is the expensive
-#: part of a cost-model evaluation and identical across kernels that scan
-#: the same matrix, so the cache pays off heavily in benchmark sweeps.
+#: Reuse profiles of the access streams the cost models have priced,
+#: under keys that name a stream's content exactly: ``(matrix
+#: fingerprint, "col" | "row")`` for a matrix's own index arrays, a
+#: digest for derived streams.  A profile is capacity-independent, so
+#: every (kernel, K, device, seed) query of one stream shares one entry
+#: and only the first pays the stream's sort.
 _HIT_RATE_CACHE: dict = {}
 _HIT_RATE_CACHE_MAX = 512
 
 
-def _stream_fingerprint(stream: np.ndarray) -> tuple:
-    """Cheap, content-sensitive fingerprint of an access stream."""
-    step = max(1, stream.size // 64)
-    sample = np.ascontiguousarray(stream[::step][:65])
-    head = int(stream[: min(4096, stream.size)].sum())
-    return (stream.size, sample.tobytes(), head)
+def _stream_digest(stream: np.ndarray) -> tuple:
+    """Exact content key of a stream that no matrix fingerprint names."""
+    h = hashlib.blake2b(np.ascontiguousarray(stream).tobytes(), digest_size=16)
+    return (stream.dtype.str, h.hexdigest())
+
+
+def _profiled_hit_rate(
+    stream: np.ndarray, key, bytes_per_item: float, device: DeviceSpec, seed: int
+) -> float:
+    if stream.size == 0:
+        return 0.0
+    model = FootprintCacheModel(
+        capacity_bytes=int(device.l2_cache_bytes * L2_EFFECTIVE_FRACTION),
+        bytes_per_item=bytes_per_item,
+        seed=seed,
+    )
+    profile = _HIT_RATE_CACHE.get(key)
+    if profile is not None:
+        return model.hit_rate(stream, profile)
+    profile = ReuseProfile()
+    rate = model.hit_rate(stream, profile)
+    # Published only once its counts are built.  A thread racing on the
+    # same key publishes an equal profile, so whichever lands is right.
+    if len(_HIT_RATE_CACHE) >= _HIT_RATE_CACHE_MAX:
+        _HIT_RATE_CACHE.clear()
+    _HIT_RATE_CACHE[key] = profile
+    return rate
 
 
 def estimate_hit_rate(
@@ -95,40 +122,46 @@ def estimate_hit_rate(
     bytes_per_item: float,
     device: DeviceSpec,
     *,
-    concurrent_warps: int = 0,
     seed: int = 0,
 ) -> float:
     """L2 hit rate for a stream of dense-matrix row accesses.
 
     All concurrent warps read the *same* operand matrix, so their
     interleaved streams share reuse; the access stream in nonzero order is
-    therefore a faithful proxy regardless of warp count
-    (``concurrent_warps`` is accepted for interface stability but does not
-    change the estimate).  A fixed :data:`L2_EFFECTIVE_FRACTION` accounts
-    for cache pollution by sparse-array streaming and output writes.
+    therefore a faithful proxy regardless of warp count.  A fixed
+    :data:`L2_EFFECTIVE_FRACTION` accounts for cache pollution by
+    sparse-array streaming and output writes.  The stream's reuse profile
+    is memoized under a digest of its content; use
+    :func:`matrix_hit_rate` for a matrix's own index arrays.
     """
-    del concurrent_warps  # see docstring
     stream = np.asarray(col_stream)
-    if stream.size == 0:
-        return 0.0
-    key = (
-        _stream_fingerprint(stream),
-        float(bytes_per_item),
-        device.l2_cache_bytes,
+    return _profiled_hit_rate(
+        stream, _stream_digest(stream), bytes_per_item, device, seed
+    )
+
+
+def matrix_hit_rate(
+    S: HybridMatrix,
+    role: str,
+    bytes_per_item: float,
+    device: DeviceSpec,
+    *,
+    seed: int = 0,
+) -> float:
+    """:func:`estimate_hit_rate` of ``S.col`` or ``S.row`` (``role``).
+
+    The profile is keyed by the matrix's structure fingerprint, which the
+    estimate cache has already computed (or the store pre-seeded) for
+    the same matrix, so the key costs a memo lookup instead of a pass
+    over the stream.
+    """
+    return _profiled_hit_rate(
+        getattr(S, role),
+        (matrix_fingerprint(S), role),
+        bytes_per_item,
+        device,
         seed,
     )
-    if key in _HIT_RATE_CACHE:
-        return _HIT_RATE_CACHE[key]
-    model = FootprintCacheModel(
-        capacity_bytes=int(device.l2_cache_bytes * L2_EFFECTIVE_FRACTION),
-        bytes_per_item=bytes_per_item,
-        seed=seed,
-    )
-    rate = model.hit_rate(stream)
-    if len(_HIT_RATE_CACHE) >= _HIT_RATE_CACHE_MAX:
-        _HIT_RATE_CACHE.clear()
-    _HIT_RATE_CACHE[key] = rate
-    return rate
 
 
 def split_by_hit_rate(

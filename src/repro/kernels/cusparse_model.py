@@ -29,7 +29,7 @@ from .api import (
     register_spmm,
 )
 from .common import (
-    estimate_hit_rate,
+    matrix_hit_rate,
     per_warp_nnz,
     row_segments_per_slice,
     split_by_hit_rate,
@@ -80,10 +80,7 @@ def _balanced_csr_workload(
 
     sparse_sectors = slice_nnz * (0.5 + extra_sectors_per_nnz)
     dense_sectors = slice_nnz * dense_sectors_per_nnz
-    hit = estimate_hit_rate(
-        S.col, bytes_per_item=k * 4.0, device=device,
-        concurrent_warps=starts.size,
-    )
+    hit = matrix_hit_rate(S, "col", k * 4.0, device)
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
     write_sectors = segments * (feats * 4 / sector)
     atomics = segments * np.ceil(feats / 32.0)
@@ -240,10 +237,7 @@ class CusparseCooAlg4(SpMMKernel):
 
         sparse_sectors = slice_nnz * (12.0 / sector)  # 3 coalesced arrays
         dense_sectors = slice_nnz * (feats * 4 / sector)
-        hit = estimate_hit_rate(
-            S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps,
-        )
+        hit = matrix_hit_rate(S, "col", k * 4.0, device)
         dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
 
         # Atomic accumulation: every nonzero writes K floats through L2;

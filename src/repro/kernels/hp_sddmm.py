@@ -38,7 +38,7 @@ from .api import (
 )
 from .common import (
     dense_row_alignment,
-    estimate_hit_rate,
+    matrix_hit_rate,
     per_warp_nnz,
     row_segments_per_slice,
     split_by_hit_rate,
@@ -109,10 +109,7 @@ def _hp_sddmm_workload(
     # modeled through the same footprint estimator on the row stream.
     a2_sectors = slice_nnz * row_sectors
     if hit_rate is None:
-        hit_rate = estimate_hit_rate(
-            S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=part.num_warps,
-        )
+        hit_rate = matrix_hit_rate(S, "col", k * 4.0, device)
     a2_l2, a2_dram = split_by_hit_rate(a2_sectors, hit_rate)
     a1_sectors = segments * row_sectors
     a1_hit = 0.9  # sequential row stream: only cold misses

@@ -41,7 +41,7 @@ from ..tuning import (
 from .api import SpMMKernel, register_spmm
 from .common import (
     dense_row_alignment,
-    estimate_hit_rate,
+    matrix_hit_rate,
     per_warp_nnz,
     row_segments_per_slice,
     split_by_hit_rate,
@@ -107,12 +107,7 @@ def _hp_spmm_workload(
 
     dense_sectors = slice_nnz * dense_sectors_per_elem
     if hit_rate is None:
-        hit_rate = estimate_hit_rate(
-            S.col,
-            bytes_per_item=k * 4.0,
-            device=device,
-            concurrent_warps=part.num_warps,
-        )
+        hit_rate = matrix_hit_rate(S, "col", k * 4.0, device)
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit_rate)
 
     write_sectors = segments * dense_sectors_per_elem

@@ -1,14 +1,20 @@
 """Cost-model helpers: warp slicing, row segments, hit-rate splitting."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import TESLA_V100
+from repro.gpusim import TESLA_V100, FootprintCacheModel
+from repro.kernels import common
 from repro.kernels.common import (
+    L2_EFFECTIVE_FRACTION,
     dense_row_alignment,
     estimate_hit_rate,
+    matrix_hit_rate,
     output_write_sectors,
     per_warp_nnz,
     row_segments_per_slice,
@@ -100,6 +106,91 @@ def test_estimate_hit_rate_memoized():
     a = estimate_hit_rate(stream, 256.0, TESLA_V100)
     b = estimate_hit_rate(stream, 256.0, TESLA_V100)  # cached path
     assert a == b
+
+
+def _direct_rate(stream, bytes_per_item, seed=0):
+    """The model's answer for one query, with no memo involved."""
+    return FootprintCacheModel(
+        capacity_bytes=int(TESLA_V100.l2_cache_bytes * L2_EFFECTIVE_FRACTION),
+        bytes_per_item=bytes_per_item,
+        seed=seed,
+    ).hit_rate(stream)
+
+
+def test_hit_rate_memo_tells_apart_streams_with_equal_samples():
+    # B copies A's size, 64 strided samples and first 4096 ids, and puts
+    # a fresh id everywhere else: a key built from those parts alone
+    # hands B the hit rate of A.
+    rng = np.random.default_rng(5)
+    n = 200_000
+    a = rng.integers(0, 64, size=n)
+    b = a.copy()
+    fresh = np.ones(n, dtype=bool)
+    fresh[:4096] = False
+    fresh[:: n // 64] = False
+    b[fresh] = 1_000 + np.arange(np.count_nonzero(fresh))
+    common._HIT_RATE_CACHE.clear()
+    rate_a = estimate_hit_rate(a, 256.0, TESLA_V100)
+    rate_b = estimate_hit_rate(b, 256.0, TESLA_V100)
+    assert rate_a == pytest.approx(0.99968)
+    assert rate_b == _direct_rate(b, 256.0)
+    assert rate_b < 0.05
+
+
+def test_matrix_streams_are_keyed_by_fingerprint_and_role():
+    from repro.perf import matrix_fingerprint
+    from tests.conftest import random_hybrid
+
+    S = random_hybrid(300, 300, 3000, seed=4)
+    common._HIT_RATE_CACHE.clear()
+    for role, seed in (("col", 1), ("row", 2)):
+        rate = matrix_hit_rate(S, role, 16384.0, TESLA_V100, seed=seed)
+        assert rate == _direct_rate(getattr(S, role), 16384.0, seed)
+        assert (matrix_fingerprint(S), role) in common._HIT_RATE_CACHE
+    assert len(common._HIT_RATE_CACHE) == 2
+
+
+def test_hit_rate_memo_threads_agree_with_single_threaded_answers():
+    rng = np.random.default_rng(9)
+    streams = [rng.integers(0, 4000, size=20_000) for _ in range(3)]
+    # V100 capacities of 12288, 3072, 768 and 192 items against ~3960
+    # distinct ids: each stream's first query fits, and the later ones
+    # add reuse counts and footprint curves to the shared profile.  All
+    # threads walk the same order, so they race on every part.
+    queries = [(i, bpi, seed) for i in range(len(streams))
+               for bpi in (256.0, 1024.0, 4096.0, 16384.0) for seed in (0, 1)]
+    expected = {q: _direct_rate(streams[q[0]], q[1], q[2]) for q in queries}
+    answers: list[tuple] = []
+    errors: list[Exception] = []
+    start = threading.Barrier(8)
+
+    def worker():
+        try:
+            start.wait(timeout=10)
+            for q in queries:
+                i, bpi, seed = q
+                answers.append(
+                    (q, estimate_hit_rate(streams[i], bpi, TESLA_V100, seed=seed))
+                )
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    common._HIT_RATE_CACHE.clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(answers) == 8 * len(queries)
+    for q, rate in answers:
+        assert rate == expected[q], q
 
 
 def test_alignment_and_write_sectors():
