@@ -81,7 +81,7 @@ _BLOCKING_MODULE_ATTRS = {
 _BLOCKING_MODULES = {"os", "shutil", "time"}
 
 #: Bare-name calls treated as blocking while a lock is held.
-_BLOCKING_NAMES = {"open", "parallel_map"}
+_BLOCKING_NAMES = {"open"}
 
 #: repro.config reader helpers whose first argument is an env-var name.
 _ENV_HELPERS = {"env_str", "env_int", "env_flag"}

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import EstimateRequest, default_engine
+from ..engine import EstimateRequest, PoolExecutor, default_engine
 from ..gpusim import DeviceSpec, TESLA_V100
 from ..graphs import DegreeStats, pearson_r, variance_graph, variance_suite_specs
-from ..perf import parallel_map
 from .tables import render_table
 
 
@@ -44,8 +43,9 @@ def _fig12_one_graph(
 ) -> tuple[float, float, float]:
     """Generate one suite graph and time both kernels on it.
 
-    Module-level so ``parallel_map`` can fan graph construction *and*
-    estimation over worker processes (each graph is independent).
+    Module-level so :class:`~repro.engine.PoolExecutor` can fan graph
+    construction *and* estimation over worker processes (each graph is
+    independent).
     Returns ``(degree std, mean degree, speedup)``.
     """
     spec, k, device = item
@@ -81,7 +81,7 @@ def run_fig12(
         mean_degree=mean_degree,
         seed=seed,
     )
-    rows = parallel_map(
+    rows = PoolExecutor().map(
         _fig12_one_graph, [(spec, k, device) for spec in specs]
     )
     # Ascending std-dev order, as in the paper's figure (and as

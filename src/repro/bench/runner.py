@@ -172,7 +172,8 @@ def sweep_spmm(
     """Timing-only SpMM sweep of ``kernels`` over named graphs.
 
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable) fans
-    per-graph work over a process pool; results keep graph order.
+    per-graph work over that many worker processes
+    (:class:`~repro.engine.PoolExecutor`); results keep graph order.
     ``kernels_by_graph`` maps graph names to a kernel subset to sweep
     there instead of ``kernels`` (the predicted-frontier path).
     """

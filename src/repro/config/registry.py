@@ -87,11 +87,6 @@ ENV_VARS: dict[str, EnvVar] = {
         ),
         # -- perf --------------------------------------------------------
         EnvVar(
-            "REPRO_JOBS", TYPE_INT, "1", "perf",
-            "process-pool width for sweeps (`1` serial, `auto`/`0` = cpu "
-            "count)",
-        ),
-        EnvVar(
             "REPRO_NO_ESTIMATE_CACHE", TYPE_FLAG, "off", "perf",
             "set to `1` to bypass the estimate memo cache",
         ),
@@ -104,6 +99,11 @@ ENV_VARS: dict[str, EnvVar] = {
             "in-process estimate-cache LRU capacity (entries)",
         ),
         # -- engine ------------------------------------------------------
+        EnvVar(
+            "REPRO_JOBS", TYPE_INT, "1", "engine",
+            "worker processes for bench sweeps, fig12 and the world sweep "
+            "(`1` serial, `auto`/`0` = cpu count)",
+        ),
         EnvVar(
             "REPRO_NO_PLAN_CHECK", TYPE_FLAG, "off", "engine",
             "set to `1` to skip per-sweep-point kernel plan checking",
@@ -168,10 +168,6 @@ ENV_VARS: dict[str, EnvVar] = {
         EnvVar(
             "REPRO_WORLD_K", TYPE_INT, "32", "world",
             "feature width the world sweep estimates every kernel at",
-        ),
-        EnvVar(
-            "REPRO_WORLD_WORKERS", TYPE_INT, "0", "world",
-            "shard workers for the world sweep (`0`/`1` = inline dispatch)",
         ),
         # -- select ------------------------------------------------------
         EnvVar(

@@ -53,6 +53,8 @@ from .executors import (
     InlineExecutor,
     PoolExecutor,
     ShardedExecutor,
+    ShardWorkerDied,
+    resolve_jobs,
 )
 from .priors import CostPriorBook, cost_priors
 from .registry import (
@@ -87,6 +89,7 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_OK",
     "Selection",
+    "ShardWorkerDied",
     "ShardedExecutor",
     "VALID_BOUNDS",
     "VALID_OPS",
@@ -97,5 +100,6 @@ __all__ = [
     "kernel_factory",
     "make_kernel",
     "plan_checking_enabled",
+    "resolve_jobs",
     "valid_kernels",
 ]

@@ -372,9 +372,8 @@ def _point_body(unit: _WorkUnit, pt: _Point) -> tuple[_Outcome, tuple]:
 def _execute_unit(unit: _WorkUnit) -> _UnitOutput:
     """All points of one unit, serially, in request order.
 
-    Module-level (picklable) so every executor — inline loop, the
-    ``REPRO_JOBS`` process pool, the sharded worker servers — ships the
-    same work body.  Deterministic estimates make the executor choice
+    Module-level (picklable) so every executor — the inline loop or
+    the sharded worker servers — ships the same work body.  Deterministic estimates make the executor choice
     invisible in the results.
     """
     _materialize(unit)
@@ -422,7 +421,7 @@ class Engine:
     executor:
         How planned work units run: :class:`InlineExecutor` (default,
         serial), :class:`~repro.engine.executors.PoolExecutor`
-        (``REPRO_JOBS`` process pool, worker spans spliced back) or
+        (``REPRO_JOBS`` workers for one batch) or
         :class:`~repro.engine.executors.ShardedExecutor` (persistent
         worker servers).
     """

@@ -3,25 +3,27 @@
 An executor is anything with ``map(fn, items) -> list`` that preserves
 item order.  The engine's work units are deterministic pure functions of
 their inputs, so the executor choice changes wall-clock time and process
-topology — never results.  Three strategies cover the repo's needs:
+topology — never results.  Every multi-process map in the repo runs on
+one mechanism, :class:`ShardedExecutor`:
 
 * :class:`InlineExecutor` — a plain serial loop in the calling process.
-  No pool counters, no extra processes; the default, and what the
-  fig/table scripts and GNN timing use (their evaluation loops were
-  always inline).
-* :class:`PoolExecutor` — delegates to :func:`repro.perf.parallel_map`,
-  keeping every behavior call sites already rely on: ``REPRO_JOBS``
-  resolution, deterministic ordering, serial fallback on pool
-  infrastructure failures only, ``parallel.*`` counters, and worker
-  tracer spans spliced back onto the parent trace.
+  No extra processes; the default, and what the fig/table scripts, GNN
+  timing and the estimation server use.
 * :class:`ShardedExecutor` — a pool of *persistent* worker server
-  processes (the ROADMAP "multi-worker serving" item).  Where
-  ``PoolExecutor`` builds and tears down a pool per batch, the sharded
-  workers live across batches, so a serving process pays fork cost once
-  and every subsequent batch only pays queue traffic.  Units are
-  sharded round-robin; results return in item order; worker spans are
-  shipped back and spliced like the pool path; a worker exception is
-  re-raised in the parent (lowest item index first, for determinism).
+  processes.  The workers live across batches, so a serving process
+  pays fork cost once and every subsequent batch only pays queue
+  traffic.  Units are sharded round-robin (or pinned by an affinity
+  hook); results return in item order; worker spans are shipped back
+  and spliced onto the parent trace, tagged ``shard_worker``; a worker
+  exception is re-raised in the parent (lowest item index first, for
+  determinism); a worker that dies raises :class:`ShardWorkerDied`
+  instead of hanging the parent.
+* :class:`PoolExecutor` — the one-shot form for sweeps: ``REPRO_JOBS``
+  (or ``jobs``) workers, started and stopped around a single ``map``;
+  below two workers it is the inline loop.
+
+``REPRO_JOBS`` semantics (:func:`resolve_jobs`): unset or ``1`` →
+serial; ``N`` → N workers; ``0`` or ``auto`` → one worker per CPU.
 """
 
 from __future__ import annotations
@@ -29,17 +31,56 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import queue
 from typing import Callable, Protocol, Sequence
 
+from ..config import env_str
 from ..obs import METRICS, trace_span
 from ..obs.tracer import Tracer, get_tracer, set_tracer
-from ..perf.parallel import parallel_map, resolve_jobs
 from ..store import StoreAttachError, get_store, store_counters
 
 #: Failures creating processes/queues in restricted sandboxes.
 _SPAWN_FAILURES = (OSError, PermissionError, ValueError, ImportError)
 
 _STOP = None  # sentinel shutting down a shard worker
+
+#: Seconds ``ShardedExecutor.map`` waits for a reply before checking
+#: that every worker is still alive.  Replies arriving sooner pay
+#: nothing extra; a dead worker is noticed within about one interval.
+_REPLY_POLL_S = 0.5
+
+
+def resolve_jobs(num_items: int | None = None) -> int:
+    """Worker count from ``REPRO_JOBS``, clamped to the item count."""
+    raw = env_str("REPRO_JOBS", "1").lower()
+    if raw in ("", "0", "auto"):
+        jobs = os.cpu_count() or 1
+    else:
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, 'auto' or unset; got {raw!r}"
+            ) from None
+    jobs = max(1, jobs)
+    if num_items is not None:
+        jobs = min(jobs, max(1, num_items))
+    return jobs
+
+
+class ShardWorkerDied(RuntimeError):
+    """A shard worker process exited while ``map`` waited on it."""
+
+    def __init__(self, pid: int | None, exitcode: int | None) -> None:
+        super().__init__(pid, exitcode)
+        self.pid = pid
+        self.exitcode = exitcode
+
+    def __str__(self) -> str:
+        return (
+            f"shard worker pid {self.pid} died with exit code "
+            f"{self.exitcode}"
+        )
 
 
 class Executor(Protocol):
@@ -65,40 +106,13 @@ class InlineExecutor:
         return [fn(item) for item in items]
 
 
-class PoolExecutor:
-    """Per-batch process-pool fan-out via :func:`repro.perf.parallel_map`.
-
-    ``jobs=None`` defers to ``REPRO_JOBS`` exactly as the bench runner
-    and serve layer always have; all ``parallel.*`` counters and the
-    worker-span splicing behavior are ``parallel_map``'s own.
-    """
-
-    ships_work = True
-
-    def __init__(self, jobs: int | None = None) -> None:
-        self.jobs = jobs
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        seq_items = list(items)
-        try:
-            return parallel_map(fn, seq_items, jobs=self.jobs)
-        except StoreAttachError:
-            # A pool worker could not attach a shared segment (unlinked
-            # or corrupted).  The parent's items keep their full
-            # matrices, so re-evaluating inline is exact — the store is
-            # a transport optimization, never a correctness dependency.
-            get_store().record_fallback()
-        return [fn(item) for item in seq_items]
-
-
 def _shard_worker_loop(inbox, outbox) -> None:
     """A shard worker server: evaluate inbox items until told to stop.
 
     Each item runs under a worker-local tracer anchored at the parent
     tracer's ``t0_ns`` (when the parent traces), and the spans ship back
-    with the result — the same splicing contract as ``parallel_map``
-    pool workers, tagged ``shard_worker`` instead.  Worker exceptions
-    come back as data; the parent re-raises them deterministically.
+    with the result, tagged ``shard_worker``.  Worker exceptions come
+    back as data; the parent re-raises them deterministically.
     """
     pid = os.getpid()
     while True:
@@ -153,7 +167,9 @@ class ShardedExecutor:
     :meth:`stop` (or context-manager exit).  In sandboxes that forbid
     process/queue creation, ``map`` falls back to the inline loop and
     counts ``engine.shard_fallbacks`` — results are identical either
-    way.
+    way.  A worker that dies mid-``map`` raises :class:`ShardWorkerDied`
+    within about :data:`_REPLY_POLL_S`; the executor then never forks
+    again, and later ``map`` calls take the same inline fallback.
 
     ``affinity`` pins items to shards: a callable taking one work item
     and returning a shard key (any int — reduced modulo the pool size)
@@ -177,6 +193,8 @@ class ShardedExecutor:
         self._inboxes: list = []
         self._outbox = None
         self._seq = 0
+        #: Set once a worker died; start() never forks again after it.
+        self._broken = False
         #: fn -> pickle-probe verdict, held for the executor's lifetime.
         self._probe_ok: dict = {}
         #: worker pid -> items evaluated there (tests assert sharding).
@@ -197,8 +215,8 @@ class ShardedExecutor:
         return max(2, resolve_jobs())
 
     def start(self) -> None:
-        """Fork the worker servers (idempotent)."""
-        if self._procs:
+        """Fork the worker servers (idempotent; a no-op after a death)."""
+        if self._procs or self._broken:
             return
         n = self._resolve_workers()
         if "fork" in multiprocessing.get_all_start_methods():
@@ -251,16 +269,11 @@ class ShardedExecutor:
         seq_items = list(items)
         if not seq_items:
             return []
-        if not self._procs:
-            try:
-                self.start()
-            except _SPAWN_FAILURES:
-                METRICS.inc("engine.shard_fallbacks")
-                return [fn(item) for item in seq_items]
         # Probe picklability once per (executor lifetime, fn) — a
         # serving process dispatches thousands of homogeneous batches
         # through one fn, and the old per-batch probe double-serialized
-        # the first item of every one of them.
+        # the first item of every one of them.  Probing before start()
+        # keeps unpicklable work from forking workers it cannot use.
         probed = self._probe_ok.get(fn)
         if probed is None:
             METRICS.inc("engine.shard_probes")
@@ -271,7 +284,12 @@ class ShardedExecutor:
             except Exception:
                 probed = False
             self._probe_ok[fn] = probed
-        if not probed:
+        if probed and not self._procs:
+            try:
+                self.start()
+            except _SPAWN_FAILURES:
+                pass
+        if not (probed and self._procs):
             METRICS.inc("engine.shard_fallbacks")
             return [fn(item) for item in seq_items]
 
@@ -304,7 +322,7 @@ class ShardedExecutor:
                 self._inboxes[target].put((base + i, fn, item, t0_ns))
             replies: dict[int, tuple] = {}
             for _ in seq_items:
-                seq, status, payload, spans, pid, delta = self._outbox.get()
+                seq, status, payload, spans, pid, delta = self._next_reply()
                 replies[seq] = (status, payload)
                 self.dispatch_counts[pid] = (
                     self.dispatch_counts.get(pid, 0) + 1
@@ -331,3 +349,62 @@ class ShardedExecutor:
         METRICS.inc("engine.shard_runs")
         METRICS.inc("engine.shard_items", len(seq_items))
         return results
+
+    def _next_reply(self) -> tuple:
+        """The next worker reply; raises :class:`ShardWorkerDied` when a
+        worker has exited instead.
+
+        A dead worker never answers the items queued for it, so an
+        unbounded wait would hang the caller.  The survivors are stopped
+        and the executor is marked broken: forking again from a serving
+        process that already runs threads is unsafe.
+        """
+        while True:
+            try:
+                return self._outbox.get(timeout=_REPLY_POLL_S)
+            except queue.Empty:
+                pass
+            dead = next((p for p in self._procs if not p.is_alive()), None)
+            if dead is None:
+                continue
+            died = ShardWorkerDied(dead.pid, dead.exitcode)
+            self._broken = True
+            for proc in self._procs:
+                if proc.is_alive():
+                    proc.terminate()
+            self.stop()
+            raise died
+
+
+class PoolExecutor:
+    """One-shot fan-out for sweeps: a :class:`ShardedExecutor` per ``map``.
+
+    ``jobs=None`` defers to ``REPRO_JOBS``; the worker count is clamped
+    to the item count.  Below two workers ``map`` is the inline loop and
+    ``ships_work`` is False, so the engine publishes nothing to the
+    shared store.  Otherwise the workers start for the one ``map`` and
+    stop before it returns, so no process outlives the call.
+    """
+
+    def __init__(self, jobs: int | None = None) -> None:
+        self.jobs = jobs
+
+    def _workers(self, num_items: int | None = None) -> int:
+        if self.jobs is None:
+            return resolve_jobs(num_items)
+        return self.jobs if num_items is None else min(self.jobs, num_items)
+
+    @property
+    def ships_work(self) -> bool:
+        return self._workers() >= 2
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        seq_items = list(items)
+        workers = self._workers(len(seq_items))
+        if workers < 2:
+            return [fn(item) for item in seq_items]
+        sharded = ShardedExecutor(workers)
+        try:
+            return sharded.map(fn, seq_items)
+        finally:
+            sharded.stop()

@@ -2,16 +2,18 @@
 
 Before this module, run statistics lived in scattered places: the
 estimate cache kept hit/miss/eviction/disk-error counts on its own
-instance, the bench runner printed plan-check totals to stderr, and the
-process-pool fan-out had no accounting at all.  :data:`METRICS` is the
+instance, the bench runner printed plan-check totals to stderr, and
+multi-process fan-out had no accounting at all.  :data:`METRICS` is the
 single registry those subsystems increment, and :func:`snapshot` merges
 it with the live estimate-cache stats into one plain dict — the payload
 embedded in every run manifest (:mod:`repro.obs.manifest`).
 
 Counter names are dotted, ``subsystem.event``:
 
-* ``parallel.pool_runs`` / ``parallel.pool_fallbacks`` /
-  ``parallel.serial_runs`` / ``parallel.items`` — fan-out accounting;
+* ``engine.shard_runs`` / ``engine.shard_items`` /
+  ``engine.shard_fallbacks`` / ``engine.shard_probes`` — multi-process
+  fan-out accounting (:class:`repro.engine.ShardedExecutor`, which the
+  one-shot :class:`repro.engine.PoolExecutor` also runs on);
 * ``plan_check.checked`` / ``plan_check.failed`` and
   ``plan_check.diag_<severity>`` — static schedule checker totals;
 * ``bench.sweeps`` / ``bench.reports`` — harness activity;
@@ -250,7 +252,7 @@ def snapshot() -> dict:
     :func:`repro.perf.estimate_cache.get_estimate_cache`), so they are
     merged here at read time rather than double-counted on every hit.
     """
-    # Imported lazily: repro.perf.parallel imports this module, so a
+    # Imported lazily: repro.perf and repro.store import repro.obs, so a
     # top-level import would be circular.
     from ..perf.estimate_cache import estimate_cache_stats
     from ..store import store_counters

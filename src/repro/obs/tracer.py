@@ -3,7 +3,7 @@
 Two kinds of spans share one trace file:
 
 * **host spans** (:func:`trace_span`) measure wall-clock time of harness
-  work — sweeps, estimate calls, pool fan-out — on the ``host`` track;
+  work — sweeps, estimate calls, worker fan-out — on the ``host`` track;
 * **simulated spans** (:func:`trace_emit`) place simulated-GPU kernel
   durations on a separate ``sim-gpu`` track, so a Table-V training run
   shows the modeled kernel timeline the paper reads off Nsight Systems.
@@ -12,12 +12,12 @@ Tracing is **off by default** and costs one module-global check plus a
 shared no-op context manager per call when disabled.  Enable it with
 ``REPRO_TRACE=<path>`` (or ``REPRO_TRACE=1`` for ``repro-trace.json``);
 the bench CLI and the wall-clock harness export automatically, and an
-``atexit`` hook covers ad-hoc scripts.  Spans recorded inside
-``REPRO_JOBS`` process-pool workers are shipped back with each work
-item's result and spliced onto the parent trace (see
-:func:`repro.perf.parallel_map`), so parallel sweeps produce complete
-traces too — worker spans carry a ``pool_worker`` arg with the worker's
-pid.
+``atexit`` hook covers ad-hoc scripts.  Spans recorded inside shard
+worker processes are shipped back with each work item's result and
+spliced onto the parent trace (see
+:class:`repro.engine.ShardedExecutor`), so parallel sweeps produce
+complete traces too — worker spans carry a ``shard_worker`` arg with
+the worker's pid.
 
 The export format is the Chrome Trace Event ``traceEvents`` array of
 complete (``"ph": "X"``) events, which both ``chrome://tracing`` and
@@ -109,7 +109,7 @@ class Tracer:
 
     def splice(self, spans) -> None:
         """Append externally recorded spans (e.g. shipped back from
-        ``REPRO_JOBS`` pool workers by :func:`repro.perf.parallel_map`).
+        shard workers by :class:`repro.engine.ShardedExecutor`).
 
         The spans must already be on this tracer's timeline — workers
         achieve that by building their tracer with the parent's

@@ -70,16 +70,12 @@ def main(argv: list[str] | None = None) -> int:
         help="override the registry edge cap",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for batch fan-out (sets REPRO_JOBS)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None,
         help=(
             "serve batches through N persistent sharded worker servers "
-            "(repro.engine.ShardedExecutor) instead of per-batch pools; "
-            "with --serve, a ShardRouter pins each graph to the worker "
-            "owning its structural fingerprint"
+            "(repro.engine.ShardedExecutor) instead of inline; with "
+            "--serve, a ShardRouter pins each graph to the worker owning "
+            "its structural fingerprint"
         ),
     )
     parser.add_argument(
@@ -126,8 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     if args.serve:
-        if args.jobs is not None:
-            os.environ["REPRO_JOBS"] = str(args.jobs)
         return _serve_mode(args)
     if args.connect is not None and args.workers is not None:
         print(
@@ -144,8 +138,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
 
     spec = WORKLOADS[args.workload]
     overrides = {}

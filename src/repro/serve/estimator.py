@@ -12,8 +12,8 @@
 
 Batch fan-out lives in the engine now: the server builds engine
 requests per micro-batch group and executes them through its configured
-:class:`~repro.engine.Executor` (the ``REPRO_JOBS`` pool by default,
-or the sharded worker servers).  Both paths label their answers from
+:class:`~repro.engine.Executor` (inline by default, or the sharded
+worker servers).  Both paths label their answers from
 the one bound vocabulary in :mod:`repro.engine.bounds`.
 """
 

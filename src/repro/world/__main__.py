@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--device", default="v100", help="device short name")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="shard workers (default REPRO_WORLD_WORKERS; <2 = inline)",
+        help="shard workers (default REPRO_JOBS; <2 = inline)",
     )
     parser.add_argument(
         "--kernels", default=None,

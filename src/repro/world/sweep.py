@@ -6,9 +6,9 @@ sweep reuses everything the engine already provides: the zero-copy
 shared store (matrices publish once and shard workers attach views),
 the structural-fingerprint estimate cache, per-point spans, and
 per-request error capture.  With ``workers >= 2`` the units fan out
-over a :class:`~repro.engine.ShardedExecutor`; results are identical
-to inline dispatch either way, so the smoke CI can assert byte
-determinism regardless of topology.
+over a one-shot :class:`~repro.engine.PoolExecutor`; results are
+identical to inline dispatch either way, so the smoke CI can assert
+byte determinism regardless of topology.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from ..engine import (
     Engine,
     EngineConfig,
     EstimateRequest,
-    InlineExecutor,
-    ShardedExecutor,
+    PoolExecutor,
     make_kernel,
+    resolve_jobs,
     valid_kernels,
 )
 from ..gpusim import DeviceSpec, get_device
@@ -36,11 +36,6 @@ from .universe import WorldConfig, build_world_graph
 def default_k() -> int:
     """Env default for the sweep's feature width (``REPRO_WORLD_K``)."""
     return env_int("REPRO_WORLD_K", 32)
-
-
-def default_workers() -> int:
-    """Env default for shard fan-out (``REPRO_WORLD_WORKERS``)."""
-    return env_int("REPRO_WORLD_WORKERS", 0)
 
 
 def supported_kernels(
@@ -133,9 +128,11 @@ def run_world_sweep(
 ) -> WorldSweepResult:
     """Evaluate ``kernels`` (default: every registered SpMM kernel) over
     every config; returns per-config winners plus crossover-map rows.
+
+    ``workers`` defaults to ``REPRO_JOBS``; below 2 the sweep is inline.
     """
     k = default_k() if k is None else k
-    workers = default_workers() if workers is None else workers
+    workers = resolve_jobs() if workers is None else workers
     device_spec = get_device(device) if isinstance(device, str) else device
     skipped: dict[str, str] = {}
     if kernels:
@@ -162,21 +159,14 @@ def run_world_sweep(
             for cfg in configs
             for kernel in kernels
         ]
-        executor = (
-            ShardedExecutor(workers) if workers >= 2 else InlineExecutor()
-        )
         engine = Engine(
             EngineConfig(
                 check_plans=False, capture_errors=True,
                 span="world.estimate", cat="world",
             ),
-            executor=executor,
+            executor=PoolExecutor(workers),
         )
-        try:
-            batch = engine.estimate_batch(requests, matrices=matrices)
-        finally:
-            if isinstance(executor, ShardedExecutor):
-                executor.stop()
+        batch = engine.estimate_batch(requests, matrices=matrices)
 
         by_graph = batch.by_graph()
         points: list[WorldPoint] = []

@@ -1,13 +1,16 @@
-"""Parallel sweep fan-out (repro.perf.parallel) and the wall-clock harness."""
+"""Parallel sweep fan-out (repro.engine.PoolExecutor) and the wall-clock
+harness."""
 
 import json
+import multiprocessing
 import os
 import sys
 
 import pytest
 
 from repro.bench.runner import SPMM_BASELINES, sweep_sddmm, sweep_spmm
-from repro.perf import get_estimate_cache, parallel_map, resolve_jobs
+from repro.engine import PoolExecutor, resolve_jobs
+from repro.perf import get_estimate_cache
 
 from tests.conftest import random_hybrid
 
@@ -19,7 +22,7 @@ def serial_default(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# resolve_jobs / parallel_map
+# resolve_jobs / PoolExecutor
 # ----------------------------------------------------------------------
 
 def test_resolve_jobs_default_is_serial():
@@ -44,16 +47,32 @@ def _square(x):
     return x * x
 
 
-def test_parallel_map_orders_results():
+def test_pool_executor_orders_results():
     items = list(range(20))
-    assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
-    assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
+    assert PoolExecutor(jobs=1).map(_square, items) == [x * x for x in items]
+    assert PoolExecutor(jobs=3).map(_square, items) == [x * x for x in items]
+    # One-shot: the workers are stopped before map returns.
+    assert multiprocessing.active_children() == []
 
 
-def test_parallel_map_falls_back_on_unpicklable_work():
-    # A lambda cannot be pickled into a process pool; the serial
+def _pid(_):
+    return os.getpid()
+
+
+def test_pool_executor_below_two_workers_is_inline():
+    """Regression: one resolved worker used to report ``ships_work`` and
+    make the engine copy every matrix into shared memory for nothing."""
+    assert PoolExecutor().ships_work is False
+    assert PoolExecutor(jobs=1).ships_work is False
+    assert PoolExecutor(jobs=2).ships_work is True
+    # Clamped to the item count: one item never starts a worker.
+    assert PoolExecutor(jobs=2).map(_pid, [0]) == [os.getpid()]
+
+
+def test_pool_executor_falls_back_on_unpicklable_work():
+    # A lambda cannot be pickled to a worker process; the inline
     # fallback must still produce the right answer.
-    out = parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2)
+    out = PoolExecutor(jobs=2).map(lambda x: x + 1, [1, 2, 3])
     assert out == [2, 3, 4]
 
 
@@ -78,7 +97,7 @@ def test_worker_exception_propagates_without_serial_retry(tmp_path, jobs):
     log = str(tmp_path / "executions.log")
     items = [(log, x, 2) for x in range(4)]
     with pytest.raises(ValueError, match="deterministic failure at 2"):
-        parallel_map(_touch_and_maybe_fail, items, jobs=jobs)
+        PoolExecutor(jobs=jobs).map(_touch_and_maybe_fail, items)
     with open(log) as f:
         executed = sorted(int(line) for line in f if line.strip())
     # Every item at most once — in particular no serial re-run of item 0.
@@ -91,9 +110,9 @@ def _raise_oserror(item):
 
 
 def test_fn_oserror_is_not_mistaken_for_pool_setup_failure():
-    """OSError from ``fn`` is a worker error, not a pool failure."""
+    """OSError from ``fn`` is a worker error, not a spawn failure."""
     with pytest.raises(OSError, match="fn-level OSError"):
-        parallel_map(_raise_oserror, [1, 2], jobs=2)
+        PoolExecutor(jobs=2).map(_raise_oserror, [1, 2])
 
 
 def test_plan_check_error_propagates_from_parallel_sweep(monkeypatch):
@@ -202,32 +221,31 @@ def _span_worker(x):
         return x + 1
 
 
-def test_parallel_map_splices_worker_spans_onto_parent_trace():
+def test_pool_executor_splices_worker_spans_onto_parent_trace():
     from repro.obs import METRICS, Tracer, set_tracer
 
-    pool_runs_before = METRICS.get("parallel.pool_runs")
+    shard_runs_before = METRICS.get("engine.shard_runs")
     tracer = Tracer()
     set_tracer(tracer)
     try:
-        out = parallel_map(_span_worker, [1, 2, 3, 4], jobs=2)
+        out = PoolExecutor(jobs=2).map(_span_worker, [1, 2, 3, 4])
     finally:
         set_tracer(None)
     assert out == [2, 3, 4, 5]
     worker_spans = [s for s in tracer.spans if s.name == "worker-span"]
     assert len(worker_spans) == 4  # no span died with its worker
     assert sorted(s.args["item"] for s in worker_spans) == [1, 2, 3, 4]
-    assert any(s.name == "parallel_map" for s in tracer.spans)
-    if METRICS.get("parallel.pool_runs") > pool_runs_before:
-        # The pool actually ran: spans crossed the process boundary and
-        # carry their worker's pid.
-        assert all(s.args.get("pool_worker") for s in worker_spans)
-        parent = [s for s in tracer.spans if s.name == "parallel_map"][0]
+    if METRICS.get("engine.shard_runs") > shard_runs_before:
+        # The workers actually ran: spans crossed the process boundary
+        # and carry their worker's pid.
+        assert all(s.args.get("shard_worker") for s in worker_spans)
+        parent = [s for s in tracer.spans if s.name == "sharded_map"][0]
         for s in worker_spans:
             assert s.ts_us >= parent.ts_us  # shared t0: same timeline
 
 
-def test_parallel_map_untraced_pool_path_unchanged():
+def test_pool_executor_untraced_path_unchanged():
     from repro.obs import get_tracer
 
     assert get_tracer() is None
-    assert parallel_map(_span_worker, [5, 6], jobs=2) == [6, 7]
+    assert PoolExecutor(jobs=2).map(_span_worker, [5, 6]) == [6, 7]

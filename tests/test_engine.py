@@ -234,6 +234,79 @@ def test_sharded_executor_requires_positive_workers():
         ShardedExecutor(workers=0)
 
 
+_DEAD_WORKER_SCRIPT = """
+import json, multiprocessing, os, signal, time
+from repro.engine import ShardedExecutor
+from repro.obs import METRICS
+
+def f(x):
+    if x == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * 10
+
+ex = ShardedExecutor(workers=2)
+out = {"raised": None}
+t0 = time.monotonic()
+try:
+    ex.map(f, [1, 2, 3, 4])
+except Exception as exc:
+    out.update(
+        raised=type(exc).__name__, message=str(exc),
+        pid=getattr(exc, "pid", None), exitcode=getattr(exc, "exitcode", None),
+    )
+out["elapsed_s"] = time.monotonic() - t0
+out["children"] = len(multiprocessing.active_children())
+out["later"] = ex.map(f, [1, 2])
+out["fallbacks"] = METRICS.get("engine.shard_fallbacks")
+out["restarted"] = ex.started or bool(multiprocessing.active_children())
+print(json.dumps(out))
+"""
+
+
+def test_dead_shard_worker_raises_named_error_instead_of_hanging():
+    """Regression: a worker killed mid-``map`` left the parent waiting on
+    its reply forever.  Run in a fresh interpreter (its own session, so
+    a hang is killed with every worker it forked) to fail, not hang."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DEAD_WORKER_SCRIPT], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        stdout, stderr = "", "timed out"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert proc.returncode == 0 and stdout, stderr
+    out = json.loads(stdout.strip().splitlines()[-1])
+    assert out["raised"] == "ShardWorkerDied"
+    assert out["message"] == (
+        f"shard worker pid {out['pid']} died with exit code "
+        f"{-signal.SIGKILL}"
+    )
+    assert out["exitcode"] == -signal.SIGKILL
+    assert out["elapsed_s"] < 10
+    assert out["children"] == 0  # the survivor was stopped too
+    # No fork after a death: later maps run inline and say so.
+    assert out["later"] == [10, 20]
+    assert out["fallbacks"] == 1
+    assert out["restarted"] is False
+
+
 # ----------------------------------------------------------------------
 # Cost priors
 # ----------------------------------------------------------------------

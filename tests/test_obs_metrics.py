@@ -3,7 +3,8 @@
 import pytest
 
 from repro.obs import METRICS, MetricsRegistry, snapshot
-from repro.perf import get_estimate_cache, parallel_map
+from repro.engine import PoolExecutor
+from repro.perf import get_estimate_cache
 
 from tests.conftest import random_hybrid
 
@@ -52,16 +53,18 @@ def test_snapshot_merges_estimate_cache_counters(small_matrix):
 # Subsystem integrations
 # ----------------------------------------------------------------------
 
-def test_parallel_map_counts_pool_and_fallback_runs():
-    parallel_map(abs, [1, -2, 3], jobs=1)
-    assert METRICS.get("parallel.serial_runs") == 1
-    assert METRICS.get("parallel.items") == 3
+def test_pool_executor_counts_shard_runs_and_fallbacks():
+    # One worker is the inline loop: no fan-out to count.
+    assert PoolExecutor(jobs=1).map(abs, [1, -2, 3]) == [1, 2, 3]
+    assert METRICS.get("engine.shard_runs") == 0
+    assert METRICS.get("engine.shard_fallbacks") == 0
     # A lambda cannot cross the process boundary: counted as a fallback.
-    parallel_map(lambda x: x, [1, 2], jobs=2)
-    assert METRICS.get("parallel.pool_fallbacks") == 1
-    assert METRICS.get("parallel.serial_runs") == 2
-    parallel_map(abs, [1, -2], jobs=2)
-    assert METRICS.get("parallel.pool_runs") == 1
+    PoolExecutor(jobs=2).map(lambda x: x, [1, 2])
+    assert METRICS.get("engine.shard_fallbacks") == 1
+    assert METRICS.get("engine.shard_runs") == 0
+    PoolExecutor(jobs=2).map(abs, [1, -2])
+    assert METRICS.get("engine.shard_runs") == 1
+    assert METRICS.get("engine.shard_items") == 2
 
 
 def test_sweep_counts_plan_checks():

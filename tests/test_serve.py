@@ -1,6 +1,9 @@
 """The estimation server: protocol, batching, triage and fallback."""
 
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -310,6 +313,43 @@ def test_base_exception_in_worker_still_resolves_pendings():
     assert resp.status == STATUS_ERROR
     assert "KeyboardInterrupt" in resp.error
     server.stop()
+
+
+def _kill_own_process(unit):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_killed_shard_resolves_in_flight_batch_as_error(monkeypatch):
+    """A shard worker killed mid-batch answers ``error`` in bounded time
+    (it used to hang every pending request), and the server restarts
+    inline instead of forking from its threaded process again."""
+    from repro.engine import ShardedExecutor
+    from repro.engine import core as engine_core
+
+    executor = ShardedExecutor(workers=2)
+    executor.start()
+    procs = list(executor._procs)
+    server = EstimationServer(executor=executor)
+    execute_unit = engine_core._execute_unit
+    try:
+        monkeypatch.setattr(engine_core, "_execute_unit", _kill_own_process)
+        server.start()
+        t0 = time.monotonic()
+        resp = server.submit(req()).result(WAIT_S)
+        elapsed = time.monotonic() - t0
+        monkeypatch.setattr(engine_core, "_execute_unit", execute_unit)
+        assert resp.status == STATUS_ERROR
+        assert "serve worker crashed: ShardWorkerDied" in resp.error
+        assert elapsed < 10
+        assert server.stats()["worker_crashes"] == 1
+        assert not any(p.is_alive() for p in procs)
+        server.start()
+        assert server.estimate(req(), timeout=WAIT_S).status == STATUS_OK
+        assert not executor.started
+        assert METRICS.get("engine.shard_fallbacks") == 1
+    finally:
+        server.stop()
+        executor.stop()
 
 
 def test_start_stop_submit_interleaving_never_wedges():

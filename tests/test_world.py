@@ -310,10 +310,11 @@ def test_world_env_vars_declared():
         "REPRO_WORLD_SEED",
         "REPRO_WORLD_MAX_NODES",
         "REPRO_WORLD_K",
-        "REPRO_WORLD_WORKERS",
     ):
         assert declared(name), name
         assert ENV_VARS[name].subsystem == "world"
+    # The world sweep's worker count is REPRO_JOBS, like every sweep.
+    assert not declared("REPRO_WORLD_WORKERS")
 
 
 def test_world_cli_covered_by_procsafety_scan():
